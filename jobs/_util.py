@@ -21,6 +21,7 @@ def get_session(app: str) -> tuple[SparkSession, bool]:
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     return s, True

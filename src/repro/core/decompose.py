@@ -19,9 +19,10 @@ candidates), never split a true stable group, which keeps every LhCDS
 inside a single candidate (the pipeline's exactness invariant).
 
 Theorem 4 then bounds every member's compact number by the group's
-[min r, max r], which tightens the global bounds (top level only —
-recursion-level upper bounds are only valid within the subgraph, see
-DESIGN.md section 3).
+[min r, max r]. IPPV raises the global lower bounds with min r and caps
+the candidate's density with max r; it never lowers a global upper bound
+with max r (see DESIGN.md section 3 on bound scoping). IPPV runs
+``tentative_gd_local``; ``tentative_gd_spark`` is kept as a tested variant.
 """
 from __future__ import annotations
 

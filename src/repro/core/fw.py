@@ -12,17 +12,15 @@ even as possible; the optimal ``r*`` equals the h-clique compact numbers
   Any iterate is a *feasible* CP solution, which is all Theorem 4 needs,
   so exactness of the pipeline never depends on convergence quality.
 - ``fw_local``: the paper's sequential SEQ-kClist++ (in-pass r updates),
-  used on small subproblems during recursion, where a Spark round-trip
-  per iteration would dominate the actual work.
+  which IPPV runs in every round on the driver mirror; a Spark round-trip
+  per iteration would dominate the actual work. ``fw_spark`` is on no
+  pipeline path and is kept as a tested variant.
 """
 from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
-
-#: below this many instances, recursion rounds use the driver-side solver
-LOCAL_FW_LIMIT = 200_000
 
 Instance = tuple[int, ...]
 

@@ -1,10 +1,10 @@
 """IPPV: the Iterative Propose-Prune-and-Verify pipeline (Algorithms 6/7).
 
-The top-level round runs on Spark (instance enumeration, core-number
-peeling for InitializeBd, batch Frank-Wolfe, window-function TentativeGD,
-join-based pruning); candidate refinement rounds run on the driver mirror
-(the subproblems are small by construction). Verification is exact
-max-flow either way. The loop keeps three invariants that make the output
+Spark enumerates the instance hypergraph (h-cliques or 4-vertex patterns);
+everything else runs on the driver mirror (``LocalGraph``) that the edges
+and instances are collected into: InitializeBd (core-number bounds),
+ProposeCL (Frank-Wolfe, TentativeGD, DeriveSG), Prune and exact max-flow
+verification. The loop keeps three invariants that make the output
 provably the exact top-k (see DESIGN.md section 3):
 
 1. every LhCDS of G is fully contained in exactly one stacked candidate
@@ -16,29 +16,33 @@ provably the exact top-k (see DESIGN.md section 3):
 3. the loop stops early only when every remaining candidate's compact
    number upper bound is strictly below the current k-th best density.
 
-Entry points: ``ippv`` (h-clique, Spark), ``ippv_instances`` (any
-instance hypergraph, Spark — the section-5 LhxPDS extension), and
-``ippv_local`` (same pipeline entirely on a driver-side LocalGraph, used
-by tests, tiny recursion rounds, and the baselines' IPPV variant).
+Entry points: ``ippv`` (h-clique, Spark enumeration), ``ippv_instances``
+(any instance DataFrame — the section-5 LhxPDS extension), and
+``ippv_local`` (the pipeline on a prepared LocalGraph, which both of the
+others end in; also used by tests and the baselines' IPPV variant).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 
 from ..flow.networks import densest_sub, is_densest
 from ..graphs.cliques import clique_instances, instances_to_local
-from ..graphs.cores import instance_core_numbers, instance_core_numbers_local
-from ..graphs.edgelist import vertices as vertices_of
+from ..graphs.cores import instance_core_numbers_local
 from ..graphs.local import LocalGraph
-from .decompose import derive_stable_groups, tentative_gd_local, tentative_gd_spark
-from .fw import fw_local, fw_spark
-from .prune import prune_local, prune_spark
+from .decompose import derive_stable_groups, tentative_gd_local
+from .fw import fw_local
+from .prune import prune_local
 from .verify import candidate_density, verify_basic, verify_fast
+
+# Unused here: perfbench/tracing.py wraps these Spark variants by name in this module.
+from ..graphs.cores import instance_core_numbers  # noqa: F401
+from .decompose import tentative_gd_spark  # noqa: F401
+from .fw import fw_spark  # noqa: F401
+from .prune import prune_spark  # noqa: F401
 
 TOL = 1e-9
 
@@ -63,7 +67,6 @@ def _core_loop(
     T: int,
     fast_verify: bool,
     st: dict,
-    top_propose: Callable[[], list[tuple[set[int], float]]] | None,
 ) -> list[LhCDS]:
     """The Algorithm-6 stack loop over a prepared LocalGraph + bounds."""
     p = lg.p
@@ -102,11 +105,7 @@ def _core_loop(
             if set(m) & alive
         ]
 
-    if top_propose is not None:
-        first = top_propose()
-    else:
-        first = propose_sub(set(lg.vertices), float("inf"))
-    stack: list[tuple[set[int], float]] = list(reversed(first))
+    stack = list(reversed(propose_sub(set(lg.vertices), float("inf"))))
 
     while stack:
         if k is not None and len(results) >= k:
@@ -183,13 +182,19 @@ def ippv_local(
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """Run the whole pipeline on a driver-side LocalGraph (with instances)."""
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0 or None, got {k}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if k == 0:
+        return []
     st = stats if stats is not None else {}
     t0 = time.perf_counter()
     cores = instance_core_numbers_local(lg.vertices, lg.instances)
     ub = {v: float(cores.get(v, 0)) for v in lg.vertices}
     lb = {v: cores.get(v, 0) / lg.p for v in lg.vertices}
     st["t_bounds"] = time.perf_counter() - t0
-    return _core_loop(lg, ub, lb, k, T, fast_verify, st, top_propose=None)
+    return _core_loop(lg, ub, lb, k, T, fast_verify, st)
 
 
 def ippv_instances(
@@ -200,7 +205,6 @@ def ippv_instances(
     k: int | None = 5,
     T: int = 10,
     fast_verify: bool = True,
-    spark_propose: bool = True,
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """IPPV over an arbitrary instance hypergraph (Algorithm 7, LhxPDS)."""
@@ -215,37 +219,7 @@ def ippv_instances(
     )
     st["n"], st["m"], st["instances"] = lg.n, lg.m, len(inst_list)
     st["t_mirror"] = time.perf_counter() - t0
-
-    if not spark_propose:
-        res = ippv_local(lg, k, T, fast_verify, st)
-        return res
-
-    # ---- InitializeBd (Algorithm 1) on Spark -------------------------------
-    t0 = time.perf_counter()
-    core_df = instance_core_numbers(spark, vertices_of(edges), instances)
-    cores = {int(r["v"]): int(r["core"]) for r in core_df.collect()}
-    ub = {v: float(cores.get(v, 0)) for v in lg.vertices}
-    lb = {v: cores.get(v, 0) / p for v in lg.vertices}
-    st["t_bounds"] = time.perf_counter() - t0
-
-    def top_propose() -> list[tuple[set[int], float]]:
-        tp = time.perf_counter()
-        alpha_df, r_df = fw_spark(instances, p, T)
-        pieces, r = tentative_gd_spark(instances, alpha_df, r_df)
-        groups = derive_stable_groups(pieces, r)
-        for members, gmin, gmax in groups:
-            for v in members:
-                lb[v] = max(lb[v], gmin - TOL)
-                ub[v] = min(ub[v], gmax + TOL)
-        st["t_propose"] = st.get("t_propose", 0.0) + time.perf_counter() - tp
-        tp = time.perf_counter()
-        alive = prune_spark(spark, edges, lg, ub, lb)
-        st["t_prune"] = st.get("t_prune", 0.0) + time.perf_counter() - tp
-        return [
-            (set(m) & alive, gmax + TOL) for m, _gmin, gmax in groups if set(m) & alive
-        ]
-
-    return _core_loop(lg, ub, lb, k, T, fast_verify, st, top_propose)
+    return ippv_local(lg, k, T, fast_verify, st)
 
 
 def ippv(
@@ -255,7 +229,6 @@ def ippv(
     k: int | None = 5,
     T: int = 10,
     fast_verify: bool = True,
-    spark_propose: bool = True,
     stats: dict | None = None,
 ) -> list[LhCDS]:
     """Top-k LhCDS discovery (Algorithm 6). ``k=None`` finds all."""
@@ -271,6 +244,5 @@ def ippv(
         k=k,
         T=T,
         fast_verify=fast_verify,
-        spark_propose=spark_propose,
         stats=st,
     )

@@ -7,11 +7,12 @@ instance-core number in the pruned graph falls below its lower bound
 would need already-pruned vertices to realize its compact subgraph, so it
 is invalid too; removals cascade until fixpoint.
 
-``prune_spark`` evaluates condition (1) as a join over the edge
-DataFrame (the scan-shaped part); the condition-(2) cascade runs on the
-driver mirror with the heap-based core decomposition — the paper itself
-treats this step as incremental per-removal updates (Algorithm 3 line 7),
-which is inherently sequential. Both paths share semantics and tests.
+IPPV runs ``prune_local`` on the driver mirror. ``prune_spark`` (kept as
+a tested variant) evaluates condition (1) as a join over the edge
+DataFrame; in both, the condition-(2) cascade runs on the driver with the
+heap-based core decomposition — the paper itself treats this step as
+incremental per-removal updates (Algorithm 3 line 7), which is inherently
+sequential. Both paths share semantics and tests.
 
 Bound comparisons leave a float tolerance in the conservative direction:
 only prune when the violation is clear, never prune on noise.

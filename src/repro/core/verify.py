@@ -13,13 +13,14 @@ rho-compact supergraph of S could live in, plus the boundary instances P
 their inner members so that compact numbers inside G[T] match those in
 G. Three outcomes:
 
+- a member of S whose bounds exclude rho (Theorem 1), or a direct
+  neighbor of S with phi >= rho (an already-output LhCDS vertex of
+  density >= rho, or a vertex whose *lower* bound exceeds rho) -> S has a
+  connected rho-compact strict superset, so return False with no flow
+  (direct-neighbor rejection, DESIGN.md section 3 item 2);
 - the BFS discovers nothing outside S -> S is maximal by construction
   (every vertex of a rho-compact supergraph has upper bound >= rho and
   would have been explored), return True with no flow at all;
-- the BFS meets a vertex of an already-output LhCDS or a plain-edge
-  neighbor whose *lower* bound exceeds rho -> the reduced network cannot
-  represent the possible extension, so fall back to ``verify_basic``
-  (conservative deviation, documented in DESIGN.md section 3);
 - otherwise solve the small DeriveCompact(G[T], rho - 1/|T|^2, P)
   network and test S against its components (Theorem 6).
 

@@ -11,9 +11,10 @@ peeling generalized to hyperedges, expressed as iterative DataFrame jobs
 with ``localCheckpoint`` lineage truncation.
 
 ``instance_core_numbers_local`` is the identical algorithm on driver-side
-structures (heap-based, exact same output) used inside tight pruning loops
-on already-small subgraphs, where a Spark round-trip per iteration would
-dominate. Both are covered by the same tests.
+structures (heap-based, exact same output). IPPV uses it for InitializeBd
+and inside the pruning cascade, where a Spark round-trip per iteration
+would dominate; the Spark loop is on no pipeline path. Both are covered
+by the same tests.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 The paper claims IPPV is *exact* (Theorem 7). These tests diff the whole
 pipeline against the brute-force Definition-2 oracle on randomized tiny
 graphs, against the flow-exact reference on medium graphs, and exercise
-the top-k guard, the fast/basic verifier equivalence, and the Spark
-top-level round.
+the top-k guard, the fast/basic verifier equivalence, and the Spark entry
+point (Spark enumerates; the driver mirror runs the rest).
 """
 import random
 from fractions import Fraction
@@ -106,9 +106,18 @@ def test_spark_pipeline_matches_driver(spark, seed, h):
     assert got == ref
 
 
-def test_spark_pipeline_on_tiny_dataset(spark):
+def test_spark_pipeline_on_tiny_dataset(spark, monkeypatch):
+    import repro.core.ippv as ippv_mod
     from repro.experiments import load_local, load_spark
 
+    # bounds, propose and prune run on the driver mirror, never on Spark
+    def no_spark(*args, **kwargs):
+        raise AssertionError("ippv() ran a Spark propose/prune step")
+
+    for name in (
+        "instance_core_numbers", "fw_spark", "tentative_gd_spark", "prune_spark"
+    ):
+        monkeypatch.setattr(ippv_mod, name, no_spark)
     edges = load_spark(spark, "HA-tiny")
     got = _key(ippv(spark, edges, h=3, k=3, T=5))
     ref = _key(ippv_local(load_local("HA-tiny", 3), k=3, T=5))
@@ -126,3 +135,9 @@ def test_stats_are_populated():
 def test_k_zero_and_empty_graph():
     lg = LocalGraph(edges=[(0, 1)], instances=[], p=3)
     assert ippv_local(lg, k=5) == []
+    tri = LocalGraph(edges=[(0, 1), (0, 2), (1, 2)]).with_cliques(3)
+    assert ippv_local(tri, k=0) == []
+    with pytest.raises(ValueError):
+        ippv_local(tri, k=-1)
+    with pytest.raises(ValueError):
+        ippv_local(tri, k=1, T=0)
